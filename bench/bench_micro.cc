@@ -39,12 +39,6 @@
 //     persists the winners as a checksummed tuning file loadable via
 //     `largeea_cli --tune-file`. The perf trajectory invokes it as
 //     `--mode=tune --json-out=BENCH_tune.json`;
-//   * --json-out=FILE --mode=dag — serial vs operator-DAG executor
-//     (DESIGN.md §14) on the full two-channel pipeline: wall clock for
-//     both schedules, bit-identity of the fused matrix, per-node
-//     seconds/peaks from the scheduler, and the measured critical path
-//     (the wall-time floor at infinite concurrency). The perf
-//     trajectory invokes it as `--mode=dag --json-out=BENCH_dag.json`;
 //   * --json-out=FILE --mode=serve — single-query latency/throughput of
 //     the serving layer (DESIGN.md §15) across index sizes
 //     (--targets-list). Per size, three rows keyed (targets, path):
@@ -739,94 +733,6 @@ int RunStreamSweep(const Flags& flags) {
 }
 
 // ---------------------------------------------------------------------
-// DAG executor sweep (--mode=dag): the full two-channel pipeline run
-// serially and through the operator-DAG scheduler on the same dataset.
-// The value of the DAG is overlap (name channel x structure partition),
-// so the headline numbers are the two wall clocks plus the node-level
-// critical path — the floor the schedule is converging towards. Every
-// row reasserts the determinism contract: the DAG fused matrix must be
-// bit-identical to the serial one.
-
-int RunDagSweep(const Flags& flags) {
-  bench::BenchJson json(flags, "dag");
-  const double scale = flags.GetDouble("scale", 0.2);
-  BenchmarkSpec spec = Ids15kSpec(LanguagePair::kEnFr, scale);
-  const EaDataset dataset = GenerateBenchmark(spec);
-
-  LargeEaOptions options;
-  options.structure_channel.train.epochs =
-      static_cast<int32_t>(flags.GetInt("epochs", 5));
-  options.structure_channel.num_batches =
-      static_cast<int32_t>(flags.GetInt("batches", 4));
-  options.stream.memory_budget_mb = flags.GetInt("budget-mb", 0);
-
-  options.dag = false;
-  auto serial = RunLargeEa(dataset, options);
-  LARGEEA_CHECK(serial.ok());
-  const uint64_t serial_hash = FusedMatrixHash(serial->fused);
-
-  options.dag = true;
-  auto dag = RunLargeEa(dataset, options);
-  LARGEEA_CHECK(dag.ok());
-  const bool identical = FusedMatrixHash(dag->fused) == serial_hash;
-  const double speedup =
-      dag->total_seconds > 0.0 ? serial->total_seconds / dag->total_seconds
-                               : 0.0;
-
-  std::printf("%-24s %10s %12s\n", "row", "seconds", "identical");
-  std::printf("%-24s %10.3f %12s\n", "serial", serial->total_seconds, "-");
-  std::printf("%-24s %10.3f %12s\n", "dag", dag->total_seconds,
-              identical ? "yes" : "NO");
-  {
-    bench::BenchJson::Row row;
-    row.Set("row", "serial")
-        .Set("seconds", serial->total_seconds)
-        .Set("peak_bytes", serial->peak_bytes)
-        .Set("identical", true);
-    json.Add(std::move(row));
-  }
-  {
-    bench::BenchJson::Row row;
-    row.Set("row", "dag")
-        .Set("seconds", dag->total_seconds)
-        .Set("peak_bytes", dag->peak_bytes)
-        .Set("identical", identical)
-        .Set("speedup", speedup)
-        .Set("deferrals", dag->dag_deferrals);
-    json.Add(std::move(row));
-  }
-  for (const DagNodeStats& node : dag->dag_nodes) {
-    std::printf("%-24s %10.3f %12s\n", ("node:" + node.name).c_str(),
-                node.seconds, "-");
-    bench::BenchJson::Row row;
-    row.Set("row", "node:" + node.name)
-        .Set("seconds", node.seconds)
-        .Set("peak_bytes", node.peak_bytes)
-        .Set("estimated_bytes", node.estimated_bytes)
-        .Set("from_checkpoint", node.from_checkpoint);
-    json.Add(std::move(row));
-  }
-  {
-    std::string path;
-    for (const std::string& name : dag->dag_critical_path) {
-      if (!path.empty()) path += " -> ";
-      path += name;
-    }
-    std::printf("%-24s %10.3f %12s  %s\n", "critical_path",
-                dag->dag_critical_path_seconds, "-", path.c_str());
-    bench::BenchJson::Row row;
-    row.Set("row", "critical_path")
-        .Set("seconds", dag->dag_critical_path_seconds)
-        .Set("path", path);
-    json.Add(std::move(row));
-  }
-  LARGEEA_CHECK(identical);
-  par::ThreadPool::Get().Shutdown();
-  json.Write();
-  return 0;
-}
-
-// ---------------------------------------------------------------------
 // Serve sweep (--mode=serve): single-query latency of the serving layer
 // across index sizes, through the real IndexManager -> QueryEngine path
 // (snapshot per query, serve.* histograms live). Synthetic fused matrix
@@ -1145,7 +1051,6 @@ int main(int argc, char** argv) {
     const std::string mode = flags.GetString("mode", "threads");
     if (mode == "backend") return largeea::RunBackendMatrix(flags);
     if (mode == "stream") return largeea::RunStreamSweep(flags);
-    if (mode == "dag") return largeea::RunDagSweep(flags);
     if (mode == "profile") return largeea::RunProfileSweep(flags);
     if (mode == "tune") return largeea::RunTuneSweep(flags);
     if (mode == "serve") return largeea::RunServeSweep(flags);

@@ -16,8 +16,6 @@
 //       --report-out (DESIGN.md "Observability"), --threads / --simd
 //       (bit-identical results either way, DESIGN.md "Execution
 //       model" / "SIMD kernels"), --strict-io.
-//       (`align`, and invoking with bare flags and no subcommand, are
-//       deprecated spellings of `run`.)
 //
 //   largeea_cli index-build --source A.tsv --target B.tsv [--seeds S.tsv]
 //                           --index-out INDEX [any Config flag]
@@ -48,6 +46,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -206,59 +205,28 @@ int CmdGenerate(const Flags& flags) {
 
 // Prints the per-phase wall-time/memory table and mirrors the same
 // numbers into `report`, so the printed table and the JSON report can
-// never disagree (they share one source: the result structs, which are
-// themselves filled from the instrumentation spans).
+// never disagree. One row per pipeline operator (its "dag/<name>" span),
+// then `unattributed` — pipeline time outside every operator — and the
+// total.
 void ReportPhases(const LargeEaResult& result, obs::RunReport& report) {
-  struct PhaseRow {
-    const char* name;
-    double seconds;
-    int64_t peak_bytes;  // -1 = not tracked for this phase
-  };
-  const PhaseRow rows[] = {
-      {"name_channel", result.name_channel.total_seconds,
-       result.name_channel.peak_bytes},
-      {"structure/partition", result.structure_channel.partition_seconds,
-       -1},
-      {"structure/train", result.structure_channel.training_seconds,
-       result.structure_channel.peak_training_bytes},
+  const auto mb = [](int64_t bytes) {
+    return static_cast<double>(bytes) / (1 << 20);
   };
   std::printf("%-22s %10s %12s\n", "Phase", "Time(s)", "PeakMem");
-  for (const PhaseRow& row : rows) {
-    char mem[32];
-    if (row.peak_bytes >= 0) {
-      std::snprintf(mem, sizeof(mem), "%.1fMB",
-                    static_cast<double>(row.peak_bytes) / (1 << 20));
-    } else {
-      std::snprintf(mem, sizeof(mem), "%s", "-");
-    }
-    std::printf("%-22s %10.3f %12s\n", row.name, row.seconds, mem);
-    report.AddPhase(row.name, row.seconds, row.peak_bytes);
-  }
-  // DAG-executor node stats (empty on --no-dag): per-operator wall
-  // time and tracked peak, plus the measured critical path — the wall
-  // clock floor at infinite concurrency.
-  for (const DagNodeStats& node : result.dag_nodes) {
-    char mem[32];
-    std::snprintf(mem, sizeof(mem), "%.1fMB",
-                  static_cast<double>(node.peak_bytes) / (1 << 20));
+  double attributed = 0.0;
+  for (const PipelineNodeStats& node : result.nodes) {
     const std::string name = "dag/" + node.name;
-    std::printf("%-22s %10.3f %12s%s\n", name.c_str(), node.seconds, mem,
+    std::printf("%-22s %10.3f %10.1fMB%s\n", name.c_str(), node.seconds,
+                mb(node.peak_bytes),
                 node.from_checkpoint ? "  (checkpoint)" : "");
     report.AddPhase(name, node.seconds, node.peak_bytes);
+    attributed += node.seconds;
   }
-  if (!result.dag_critical_path.empty()) {
-    std::string path;
-    for (const std::string& name : result.dag_critical_path) {
-      if (!path.empty()) path += " -> ";
-      path += name;
-    }
-    std::printf("%-22s %10.3f              %s\n", "dag/critical_path",
-                result.dag_critical_path_seconds, path.c_str());
-    report.AddPhase("dag/critical_path", result.dag_critical_path_seconds,
-                    -1);
-  }
-  std::printf("%-22s %10.3f %12.1fMB\n", "total", result.total_seconds,
-              static_cast<double>(result.peak_bytes) / (1 << 20));
+  const double unattributed = result.total_seconds - attributed;
+  std::printf("%-22s %10.3f %12s\n", "unattributed", unattributed, "-");
+  report.AddPhase("unattributed", unattributed);
+  std::printf("%-22s %10.3f %10.1fMB\n", "total", result.total_seconds,
+              mb(result.peak_bytes));
   report.SetTotal(result.total_seconds, result.peak_bytes);
 }
 
@@ -685,6 +653,19 @@ int CmdPartition(const Flags& flags, const Config& config) {
   return 0;
 }
 
+// The flags each subcommand reads itself; every subcommand also accepts
+// every Config flag.
+const std::map<std::string, std::vector<std::string>> kLocalFlags = {
+    {"generate", {"tier", "pair", "scale", "out_dir"}},
+    {"run", {"source", "target", "seeds", "test"}},
+    {"index-build",
+     {"source", "target", "seeds", "test", "index-out", "hnsw-neighbors",
+      "ef-construction", "ef-search"}},
+    {"serve", {"index", "serve-batch", "k", "expect-fingerprint"}},
+    {"query", {"index", "entity", "name", "k", "exact", "expect-fingerprint"}},
+    {"partition", {"source", "target", "seeds", "test"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -696,7 +677,7 @@ int main(int argc, char** argv) {
         "       largeea_cli --help\n");
     return 2;
   }
-  std::string command = argv[1];
+  const std::string command = argv[1];
   if (command == "--help" || command == "-h") {
     std::printf(
         "usage: largeea_cli generate|run|index-build|serve|query|partition"
@@ -705,27 +686,22 @@ int main(int argc, char** argv) {
         ConfigHelp().c_str());
     return 0;
   }
-  // Legacy spellings: `align` and the original bare-flag invocation
-  // (no subcommand at all) both mean `run`. Kept as aliases so scripts
-  // and the shard orchestrator's re-invocations keep working.
-  int flag_argc = argc - 1;
-  char** flag_argv = argv + 1;
-  if (command.size() > 1 && command[0] == '-') {
-    std::fprintf(stderr,
-                 "largeea_cli: invoking without a subcommand is deprecated; "
-                 "assuming 'run' (see --help)\n");
-    command = "run";
-    flag_argc = argc;  // Flags skips element 0, which is now the binary.
-    flag_argv = argv;
-  } else if (command == "align") {
-    std::fprintf(stderr,
-                 "largeea_cli: 'align' is deprecated, use 'run'\n");
-    command = "run";
+  const auto local = kLocalFlags.find(command);
+  if (local == kLocalFlags.end()) {
+    std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
+    return 2;
   }
-  const Flags flags(flag_argc, flag_argv);
+  const Flags flags(argc - 1, argv + 1);
   // All commands share one configuration surface: every pipeline,
   // runtime, and I/O knob parses through largeea::Config exactly once.
-  // Binary-local inputs (--source, --tier, ...) stay on `flags`.
+  // Binary-local inputs (--source, --tier, ...) stay on `flags`; any
+  // other name is a typo and fails before anything runs.
+  if (const Status known = CheckFlagsKnown(flags, local->second);
+      !known.ok()) {
+    std::fprintf(stderr, "error: %s (largeea_cli %s; see --help)\n",
+                 known.ToString().c_str(), command.c_str());
+    return 2;
+  }
   auto config = ConfigFromFlags(flags);
   if (!config.ok()) {
     std::fprintf(stderr, "error: %s\n", config.status().ToString().c_str());
@@ -756,7 +732,5 @@ int main(int argc, char** argv) {
   }
   if (command == "serve") return CmdServe(flags, *config);
   if (command == "query") return CmdQuery(flags, *config);
-  if (command == "partition") return CmdPartition(flags, *config);
-  std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-  return 2;
+  return CmdPartition(flags, *config);
 }

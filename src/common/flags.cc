@@ -60,6 +60,13 @@ bool Flags::GetBool(const std::string& name, bool def) const {
   Die("flag --" + name + " is not a boolean: " + it->second);
 }
 
+std::vector<std::string> Flags::Names() const {
+  std::vector<std::string> names;
+  names.reserve(values_.size());
+  for (const auto& [name, value] : values_) names.push_back(name);
+  return names;
+}
+
 std::string Flags::GetString(const std::string& name,
                              const std::string& def) const {
   const auto it = values_.find(name);

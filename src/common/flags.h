@@ -1,8 +1,9 @@
 // Minimal command-line flag parsing for the bench and example binaries.
 //
 // Accepted forms: --name=value, --name value, and bare --name for booleans.
-// Unknown flags abort with a message listing what was seen, so typos in a
-// bench invocation fail loudly instead of silently running the default.
+// Flags itself accepts any name; a binary that knows every flag it reads
+// rejects the rest with CheckFlagsKnown (src/core/config.h), so a typo
+// fails loudly instead of silently running the default.
 //
 // Two layers:
 //   * Flags — the raw argv -> string map with typed lookups;
@@ -37,6 +38,9 @@ class Flags {
 
   /// True if the flag appeared on the command line.
   bool Has(const std::string& name) const { return values_.contains(name); }
+
+  /// Every flag name that appeared on the command line, sorted.
+  std::vector<std::string> Names() const;
 
  private:
   std::map<std::string, std::string> values_;

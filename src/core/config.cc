@@ -1,5 +1,7 @@
 #include "src/core/config.h"
 
+#include <algorithm>
+
 #include "src/obs/log.h"
 #include "src/obs/profiler.h"
 #include "src/obs/report.h"
@@ -127,14 +129,6 @@ void Config::Register(FlagRegistry& r) {
   r.Bool("stream-release-inputs", &pipeline.stream.release_inputs,
          "free intermediate matrices as the fusion consumes them");
 
-  // Operator-DAG executor (DESIGN.md §14).
-  r.Bool("dag", &pipeline.dag,
-         "schedule the pipeline as an operator DAG: independent channels "
-         "overlap, admission respects the memory budget (results are "
-         "bit-identical to the serial order)");
-  r.Bool("no-dag", &no_dag,
-         "force the historical serial executor (same as --dag=false)");
-
   // Runtime and I/O.
   r.Int64("threads", &threads,
           "worker pool size (0 = LARGEEA_THREADS env or hardware)");
@@ -239,9 +233,6 @@ Status Config::Validate() {
           "--shard-worker " + std::to_string(shard_worker) +
           " out of range for --shards " + std::to_string(shards));
     }
-  }
-  if (no_dag) {
-    pipeline.dag = false;
   }
   if (!pipeline.use_name_channel && !pipeline.use_structure_channel) {
     return InvalidArgumentError(
@@ -352,6 +343,22 @@ StatusOr<Config> ConfigFromFlags(const Flags& flags) {
   Status valid = config.Validate();
   if (!valid.ok()) return valid;
   return config;
+}
+
+Status CheckFlagsKnown(const Flags& flags,
+                       const std::vector<std::string>& local_flags) {
+  Config config;
+  FlagRegistry registry;
+  config.Register(registry);
+  for (const std::string& name : flags.Names()) {
+    if (registry.Knows(name) ||
+        std::find(local_flags.begin(), local_flags.end(), name) !=
+            local_flags.end()) {
+      continue;
+    }
+    return InvalidArgumentError("unknown flag --" + name);
+  }
+  return OkStatus();
 }
 
 std::string ConfigHelp() {

@@ -1,17 +1,17 @@
 #include "src/core/large_ea.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <utility>
 
-#include "src/common/macros.h"
 #include "src/core/pipeline_fingerprint.h"
-#include "src/dag/pipeline_dag.h"
+#include "src/name/data_augmentation.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/par/thread_pool.h"
 #include "src/rt/checkpoint.h"
 #include "src/rt/fault_injection.h"
 #include "src/rt/io_util.h"
@@ -21,7 +21,163 @@
 namespace largeea {
 namespace {
 
+// Artifact kinds; RunNameChannel (src/core/name_channel.cc) reads and
+// writes the same four name-channel kinds.
+constexpr const char* kSemanticKind = "name_semantic";
+constexpr const char* kStringKind = "name_string";
+constexpr const char* kNameFusedKind = "name_fused";
+constexpr const char* kPseudoSeedKind = "name_pseudo_seeds";
 constexpr const char* kFusedKind = "fused";
+
+/// Runs one operator inside its "dag/<name>" memory-tracked span and
+/// appends its record to `result.nodes`. `body` returns whether the
+/// operator restored its output from a checkpoint; a failure is returned
+/// with the operator's name as context.
+template <typename Body>
+Status RunNode(const char* name, LargeEaResult& result, Body&& body) {
+  const std::string span_name = std::string("dag/") + name;
+  PipelineNodeStats stats{name};
+  StatusOr<bool> restored = false;
+  {
+    obs::Span span(span_name.c_str(), obs::Span::kTrackMemory);
+    restored = body();
+    stats.seconds = span.End();
+    stats.peak_bytes = span.peak_bytes();
+  }
+  if (!restored.ok()) return restored.status().WithContext(name);
+  stats.from_checkpoint = *restored;
+  result.nodes.push_back(std::move(stats));
+  return OkStatus();
+}
+
+/// Counts and logs a checkpoint artifact that exists but cannot be used;
+/// the operator then recomputes it.
+void NoteUnusableArtifact(const char* kind, const Status& status) {
+  obs::MetricsRegistry::Get()
+      .GetCounter("checkpoint.load_failures")
+      .Increment();
+  LARGEEA_LOG_WARN("pipeline: ignoring unusable '%s' checkpoint (%s); "
+                   "recomputing",
+                   kind, status.ToString().c_str());
+}
+
+/// Loads `kind` into `out` if resume mode has a usable artifact.
+bool TryLoadMatrix(rt::CheckpointManager& checkpoint, const char* kind,
+                   SparseSimMatrix& out) {
+  if (!checkpoint.should_load()) return false;
+  auto loaded = checkpoint.LoadMatrix(kind);
+  if (loaded.ok()) {
+    out = std::move(loaded).value();
+    return true;
+  }
+  if (loaded.status().code() != StatusCode::kNotFound) {
+    NoteUnusableArtifact(kind, loaded.status());
+  }
+  return false;
+}
+
+/// Best-effort save: a failed write degrades resumability, not the run.
+void SaveMatrix(rt::CheckpointManager& checkpoint, const char* kind,
+                const SparseSimMatrix& matrix) {
+  if (checkpoint.enabled()) (void)checkpoint.SaveMatrix(kind, matrix);
+}
+
+/// Rebuilds the channel-level name bookkeeping (resumed flag, SENS/STNS
+/// seconds, channel seconds and peak) from the records of name_semantic,
+/// name_string, name_fuse and name_augmentation. Component timings stay
+/// zero for restored operators.
+void SummarizeNameChannel(std::span<const PipelineNodeStats, 4> nodes,
+                          NameChannelResult& name) {
+  name.resumed = std::all_of(
+      nodes.begin(), nodes.end(),
+      [](const PipelineNodeStats& node) { return node.from_checkpoint; });
+  if (name.resumed) return;
+  const PipelineNodeStats& sem = nodes[0];
+  const PipelineNodeStats& str = nodes[1];
+  name.nff.sens_seconds = sem.from_checkpoint ? 0.0 : sem.seconds;
+  name.nff.stns_seconds = str.from_checkpoint ? 0.0 : str.seconds;
+  for (const PipelineNodeStats& node : nodes) {
+    name.total_seconds += node.seconds;
+    name.peak_bytes = std::max(name.peak_bytes, node.peak_bytes);
+  }
+}
+
+/// Under a budget with release_inputs, operators consume (move/stream)
+/// their matrix inputs instead of copying them.
+bool ConsumesInputs(const stream::StreamContext* stream_ctx) {
+  return stream_ctx != nullptr && stream_ctx->options().release_inputs;
+}
+
+/// structure_train, fusion and evaluate, in order.
+Status RunLargeEaSuffix(const EaDataset& dataset,
+                        const LargeEaOptions& options,
+                        rt::CheckpointManager& checkpoint,
+                        const stream::StreamContext* stream_ctx,
+                        MiniBatchSet batches, LargeEaResult& result) {
+  const bool consume = ConsumesInputs(stream_ctx);
+  // --- Structure channel: per-batch training → M_s. ---
+  if (options.use_structure_channel) {
+    LARGEEA_RETURN_IF_ERROR(RunNode(
+        "structure_train", result, [&]() -> StatusOr<bool> {
+          const double partition_seconds =
+              result.structure_channel.partition_seconds;
+          LARGEEA_ASSIGN_OR_RETURN(
+              result.structure_channel,
+              TrainStructureChannel(dataset.source, dataset.target,
+                                    std::move(batches),
+                                    options.structure_channel, &checkpoint));
+          result.structure_channel.partition_seconds = partition_seconds;
+          // "From checkpoint" when every trainable batch resumed.
+          int32_t trainable = 0;
+          for (const MiniBatch& b : result.structure_channel.batches) {
+            if (StructureBatchTrainable(b)) ++trainable;
+          }
+          return trainable > 0 &&
+                 result.structure_channel.batches_resumed == trainable;
+        }));
+  }
+
+  // --- Channel fusion: M = M_s + M_n. Under a consuming stream context
+  // the inputs are moved (FuseStreamed frees each input row as it
+  // merges); the fused bits are identical either way. ---
+  LARGEEA_RETURN_IF_ERROR(RunNode("fusion", result, [&]() -> StatusOr<bool> {
+    LARGEEA_INJECT_FAULT("pipeline.fusion");
+    if (TryLoadMatrix(checkpoint, kFusedKind, result.fused)) return true;
+    SparseSimMatrix& structure = result.structure_channel.similarity;
+    SparseSimMatrix& name = result.name_channel.nff.fused;
+    const bool both =
+        options.use_name_channel && options.use_structure_channel;
+    if (both && options.fuse_name_similarity) {
+      result.fused =
+          consume ? SparseSimMatrix::FuseStreamed(
+                        std::move(structure), std::move(name),
+                        options.structure_weight, options.name_weight,
+                        options.fused_top_k)
+                  : structure.Fuse(name, options.structure_weight,
+                                   options.name_weight, options.fused_top_k);
+    } else {
+      // "w/o name channel" (DA already fed ψ', only M_s is scored) or a
+      // single enabled channel.
+      SparseSimMatrix& only =
+          options.use_structure_channel ? structure : name;
+      result.fused = consume ? std::move(only) : only;
+    }
+    SaveMatrix(checkpoint, kFusedKind, result.fused);
+    return false;
+  }));
+  if (consume) {
+    // Leave the consumed inputs as clean empty matrices, not moved-from
+    // husks (or restored copies nobody reads again).
+    result.structure_channel.similarity = SparseSimMatrix();
+    result.name_channel.nff.fused = SparseSimMatrix();
+  }
+
+  return RunNode("evaluate", result, [&]() -> StatusOr<bool> {
+    LARGEEA_INJECT_FAULT("pipeline.evaluate");
+    result.metrics = Evaluate(result.fused, dataset.split.test);
+    return false;
+  });
+}
 
 }  // namespace
 
@@ -74,123 +230,117 @@ uint64_t LargeEaConfigFingerprint(const EaDataset& dataset,
   return rt::Fnv1a64(buf);
 }
 
-namespace {
+StatusOr<MiniBatchSet> RunLargeEaPrefix(const EaDataset& dataset,
+                                        const LargeEaOptions& options,
+                                        rt::CheckpointManager& checkpoint,
+                                        stream::StreamContext* stream_ctx,
+                                        LargeEaResult& result) {
+  const KnowledgeGraph& source = dataset.source;
+  const KnowledgeGraph& target = dataset.target;
+  const NameChannelOptions& n = options.name_channel;
+  const bool consume = ConsumesInputs(stream_ctx);
 
-/// The historical serial executor (--no-dag): phases run in Algorithm-1
-/// order on the calling thread. Kept as the reference the DAG schedule
-/// is proven bit-identical against (tests/dag_test.cc).
-StatusOr<LargeEaResult> RunLargeEaSerial(const EaDataset& dataset,
-                                         const LargeEaOptions& options,
-                                         rt::CheckpointManager& checkpoint,
-                                         stream::StreamContext* stream_ctx) {
-  LargeEaResult result;
-
-  // --- Name channel: M_n and pseudo seeds. ---
+  // --- Name channel: M_se, M_st → M_n → pseudo seeds. ---
   if (options.use_name_channel) {
-    auto name = RunNameChannel(dataset.source, dataset.target,
-                               dataset.split.train, options.name_channel,
-                               &checkpoint, stream_ctx);
-    if (!name.ok()) return name.status().WithContext("name channel");
-    result.name_channel = std::move(name).value();
+    NffResult& nff = result.name_channel.nff;
+    LARGEEA_RETURN_IF_ERROR(
+        RunNode("name_semantic", result, [&]() -> StatusOr<bool> {
+          if (TryLoadMatrix(checkpoint, kSemanticKind, nff.semantic)) {
+            return true;
+          }
+          LARGEEA_INJECT_FAULT("name.features");
+          nff.semantic =
+              ComputeSemanticSimilarity(source, target, n.nff.sens, stream_ctx);
+          SaveMatrix(checkpoint, kSemanticKind, nff.semantic);
+          return false;
+        }));
+    LARGEEA_RETURN_IF_ERROR(
+        RunNode("name_string", result, [&]() -> StatusOr<bool> {
+          if (TryLoadMatrix(checkpoint, kStringKind, nff.string)) return true;
+          nff.string = ComputeStringSimilarity(source, target, n.nff.stns);
+          SaveMatrix(checkpoint, kStringKind, nff.string);
+          return false;
+        }));
+    LARGEEA_RETURN_IF_ERROR(
+        RunNode("name_fuse", result, [&]() -> StatusOr<bool> {
+          if (TryLoadMatrix(checkpoint, kNameFusedKind, nff.fused)) {
+            return true;
+          }
+          // Row-streamed fusion consumes M_se and M_st.
+          nff.fused = consume ? SparseSimMatrix::FuseStreamed(
+                                    std::move(nff.semantic),
+                                    std::move(nff.string), 1.0f,
+                                    n.nff.string_weight,
+                                    n.nff.max_entries_per_row)
+                              : nff.semantic.Fuse(nff.string, 1.0f,
+                                                  n.nff.string_weight,
+                                                  n.nff.max_entries_per_row);
+          SaveMatrix(checkpoint, kNameFusedKind, nff.fused);
+          return false;
+        }));
+    if (consume) {
+      nff.semantic = SparseSimMatrix();
+      nff.string = SparseSimMatrix();
+    }
+    // Augmentation disabled still runs the operator: ψ'_p is then empty,
+    // and saving it keeps the name channel's four-artifact resume
+    // contract.
+    LARGEEA_RETURN_IF_ERROR(
+        RunNode("name_augmentation", result, [&]() -> StatusOr<bool> {
+          EntityPairList& pseudo = result.name_channel.pseudo_seeds;
+          auto& pseudo_gauge =
+              obs::MetricsRegistry::Get().GetGauge("name.pseudo_seeds");
+          if (checkpoint.should_load()) {
+            auto loaded = checkpoint.LoadPairs(kPseudoSeedKind);
+            if (loaded.ok()) {
+              pseudo = std::move(loaded).value();
+              pseudo_gauge.Set(static_cast<double>(pseudo.size()));
+              return true;
+            }
+            if (loaded.status().code() != StatusCode::kNotFound) {
+              NoteUnusableArtifact(kPseudoSeedKind, loaded.status());
+            }
+          }
+          if (n.enable_augmentation) {
+            LARGEEA_INJECT_FAULT("name.augmentation");
+            pseudo = GeneratePseudoSeeds(nff.fused, dataset.split.train,
+                                         n.augmentation_margin);
+            pseudo_gauge.Set(static_cast<double>(pseudo.size()));
+          }
+          if (checkpoint.enabled()) {
+            (void)checkpoint.SavePairs(kPseudoSeedKind, pseudo);
+          }
+          return false;
+        }));
+    SummarizeNameChannel(std::span(result.nodes).last<4>(),
+                         result.name_channel);
   }
 
-  // --- Seed augmentation: ψ' ← ψ' + ψ'_p. ---
-  {
-    LARGEEA_TRACE_SPAN("pipeline/seed_augmentation");
-    result.effective_seeds = dataset.split.train;
-    result.effective_seeds.insert(result.effective_seeds.end(),
-                                  result.name_channel.pseudo_seeds.begin(),
-                                  result.name_channel.pseudo_seeds.end());
-  }
+  // --- ψ' ← ψ ∪ ψ'_p. ---
+  LARGEEA_RETURN_IF_ERROR(
+      RunNode("seed_augmentation", result, [&]() -> StatusOr<bool> {
+        const EntityPairList& pseudo = result.name_channel.pseudo_seeds;
+        result.effective_seeds = dataset.split.train;
+        result.effective_seeds.insert(result.effective_seeds.end(),
+                                      pseudo.begin(), pseudo.end());
+        return false;
+      }));
 
-  // --- Structure channel: mini-batch training, M_s. ---
+  // --- Structure channel, first half: the mini-batch partition. ---
+  MiniBatchSet batches;
   if (options.use_structure_channel) {
-    LARGEEA_TRACE_SPAN("structure_channel");
-    auto structure = RunStructureChannel(dataset.source, dataset.target,
-                                         result.effective_seeds,
-                                         options.structure_channel,
-                                         &checkpoint);
-    if (!structure.ok()) {
-      return structure.status().WithContext("structure channel");
-    }
-    result.structure_channel = std::move(structure).value();
+    LARGEEA_RETURN_IF_ERROR(
+        RunNode("partition", result, [&]() -> StatusOr<bool> {
+          LARGEEA_ASSIGN_OR_RETURN(
+              batches, PrepareStructureBatches(
+                           source, target, result.effective_seeds,
+                           options.structure_channel, &checkpoint,
+                           &result.structure_channel.partition_seconds));
+          return false;
+        }));
   }
-
-  // --- Channel fusion: M = M_s + M_n. ---
-  {
-    LARGEEA_TRACE_SPAN("pipeline/fusion");
-    LARGEEA_INJECT_FAULT("pipeline.fusion");
-    bool fused_resumed = false;
-    if (checkpoint.should_load()) {
-      auto fused = checkpoint.LoadMatrix(kFusedKind);
-      if (fused.ok()) {
-        result.fused = std::move(fused).value();
-        fused_resumed = true;
-      } else if (fused.status().code() != StatusCode::kNotFound) {
-        obs::MetricsRegistry::Get()
-            .GetCounter("checkpoint.load_failures")
-            .Increment();
-        LARGEEA_LOG_WARN("pipeline: ignoring unusable fused checkpoint "
-                         "(%s); fusing from scratch",
-                         fused.status().ToString().c_str());
-      }
-    }
-    if (!fused_resumed) {
-      // Under a budget with release_inputs, the channel matrices are
-      // consumed (moved/streamed) instead of copied: FuseStreamed frees
-      // each input row as it merges, and the single-channel cases move.
-      // The fused bits are identical either way.
-      const bool consume_inputs = stream_ctx != nullptr &&
-                                  stream_ctx->options().release_inputs;
-      if (options.use_name_channel && options.use_structure_channel &&
-          !options.fuse_name_similarity) {
-        // "w/o name channel": DA already fed ψ'; only M_s is scored.
-        result.fused = consume_inputs
-                           ? std::move(result.structure_channel.similarity)
-                           : result.structure_channel.similarity;
-      } else if (options.use_name_channel &&
-                 options.use_structure_channel) {
-        if (consume_inputs) {
-          result.fused = SparseSimMatrix::FuseStreamed(
-              std::move(result.structure_channel.similarity),
-              std::move(result.name_channel.nff.fused),
-              options.structure_weight, options.name_weight,
-              options.fused_top_k);
-        } else {
-          result.fused = result.structure_channel.similarity.Fuse(
-              result.name_channel.nff.fused, options.structure_weight,
-              options.name_weight, options.fused_top_k);
-        }
-      } else if (options.use_structure_channel) {
-        result.fused = consume_inputs
-                           ? std::move(result.structure_channel.similarity)
-                           : result.structure_channel.similarity;
-      } else {
-        result.fused = consume_inputs
-                           ? std::move(result.name_channel.nff.fused)
-                           : result.name_channel.nff.fused;
-      }
-      if (consume_inputs) {
-        // Leave the consumed fields as clean empty matrices, not
-        // moved-from husks.
-        result.structure_channel.similarity = SparseSimMatrix();
-        result.name_channel.nff.fused = SparseSimMatrix();
-      }
-      if (checkpoint.enabled()) {
-        (void)checkpoint.SaveMatrix(kFusedKind, result.fused);
-      }
-    }
-  }
-
-  {
-    LARGEEA_TRACE_SPAN("pipeline/evaluate");
-    LARGEEA_INJECT_FAULT("pipeline.evaluate");
-    result.metrics = Evaluate(result.fused, dataset.split.test);
-  }
-  return result;
+  return batches;
 }
-
-}  // namespace
 
 StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
                                    const LargeEaOptions& options) {
@@ -205,9 +355,6 @@ StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
   obs::Span pipeline_span("pipeline", obs::Span::kTrackMemory);
   pipeline_span.AddAttr("simd.backend",
                         simd::BackendName(simd::ActiveBackend()));
-  pipeline_span.AddAttr("executor",
-                        options.dag ? std::string("dag")
-                                    : std::string("serial"));
 
   // Memory-budgeted streaming: one context (budget + spill store) per
   // run, handed only to the phases that know how to stream. Null when
@@ -236,15 +383,14 @@ StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
                      checkpoint.dir().c_str());
   }
 
-  StatusOr<LargeEaResult> run =
-      options.dag
-          ? dag::RunLargeEaPipeline(dataset, options, checkpoint,
-                                    stream_ctx.get(),
-                                    par::ThreadPool::Get().num_threads())
-          : RunLargeEaSerial(dataset, options, checkpoint,
-                             stream_ctx.get());
-  if (!run.ok()) return run.status();
-  LargeEaResult result = std::move(run).value();
+  LargeEaResult result;
+  LARGEEA_ASSIGN_OR_RETURN(
+      MiniBatchSet batches,
+      RunLargeEaPrefix(dataset, options, checkpoint, stream_ctx.get(),
+                       result));
+  LARGEEA_RETURN_IF_ERROR(RunLargeEaSuffix(dataset, options, checkpoint,
+                                           stream_ctx.get(),
+                                           std::move(batches), result));
 
   result.total_seconds = pipeline_span.End();
   result.peak_bytes = pipeline_span.peak_bytes();
@@ -258,14 +404,6 @@ StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
       .Set(static_cast<double>(result.structure_channel.batches_dropped));
   registry.GetGauge("pipeline.batches_resumed")
       .Set(static_cast<double>(result.structure_channel.batches_resumed));
-  if (options.dag) {
-    // Compliant when unbudgeted, or when the run's tracked peak stayed
-    // under the budget the scheduler admitted against.
-    const bool compliant =
-        stream_ctx == nullptr ||
-        result.peak_bytes <= stream_ctx->budget().budget_bytes();
-    registry.GetGauge("dag.budget.compliant").Set(compliant ? 1.0 : 0.0);
-  }
   return result;
 }
 

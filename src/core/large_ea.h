@@ -1,16 +1,25 @@
 // LargeEA — the full two-channel pipeline (Figure 2).
 //
-// Run order follows Algorithm 1: the name channel produces M_n and pseudo
-// seeds; the pseudo seeds join ψ'; the structure channel trains per
-// mini-batch and produces M_s; the channels fuse as M = M_s + M_n; the
-// fused matrix is evaluated against the held-out test pairs.
+// Algorithm 1 runs as nine operators, in this order, on the calling
+// thread (DESIGN.md §14):
 //
-// Fault tolerance: with a checkpoint directory configured, every phase
-// boundary (name channel, partition, each mini-batch, fused matrix)
-// persists its output, and a `resume` run restores completed phases
-// instead of recomputing them — bit-identically, because every phase is
-// deterministic given the options and the checkpoints round-trip floats
-// exactly. See DESIGN.md §7 for the failure model.
+//   name_semantic → name_string → name_fuse → name_augmentation →
+//   seed_augmentation → partition → structure_train → fusion → evaluate
+//
+// The name channel produces M_n and pseudo seeds; the pseudo seeds join
+// ψ'; the structure channel trains per mini-batch and produces M_s; the
+// channels fuse as M = M_s + M_n; the fused matrix is evaluated against
+// the held-out test pairs. Each operator runs inside a "dag/<name>"
+// memory-tracked span, so the run report gets one row per operator.
+//
+// Fault tolerance: with a checkpoint directory configured, every
+// operator persists its artifact (each stamped with a per-node
+// fingerprint, src/core/pipeline_fingerprint.h), and a `resume` run
+// restores completed artifacts instead of recomputing them —
+// bit-identically, because every operator is deterministic given the
+// options and the checkpoints round-trip floats exactly. A changed
+// option re-executes only the operators downstream of it. See DESIGN.md
+// §7 for the failure model.
 #ifndef LARGEEA_CORE_LARGE_EA_H_
 #define LARGEEA_CORE_LARGE_EA_H_
 
@@ -22,10 +31,15 @@
 #include "src/core/name_channel.h"
 #include "src/core/structure_channel.h"
 #include "src/kg/dataset.h"
+#include "src/rt/checkpoint.h"
 #include "src/rt/status.h"
 #include "src/stream/stream_options.h"
 
 namespace largeea {
+
+namespace stream {
+class StreamContext;
+}  // namespace stream
 
 /// Checkpoint/resume configuration for a pipeline run.
 struct FaultToleranceOptions {
@@ -63,23 +77,14 @@ struct LargeEaOptions {
   /// (nff.semantic, nff.string, structure_channel.similarity) come back
   /// empty — only `fused` and the metrics are retained.
   stream::StreamOptions stream;
-  /// Run the pipeline through the operator-DAG executor (src/dag/):
-  /// independent operators overlap on worker threads, admission is
-  /// budget-aware, and intermediates are released at their last use.
-  /// False runs the historical serial order. Scheduling-only — results
-  /// and checkpoints are bit-identical either way, so this flag is
-  /// deliberately NOT part of the config fingerprint.
-  bool dag = true;
 };
 
-/// Per-operator execution record when the DAG executor ran.
-struct DagNodeStats {
+/// Execution record of one pipeline operator.
+struct PipelineNodeStats {
   std::string name;
   double seconds = 0.0;
-  int64_t peak_bytes = 0;       ///< tracked peak while the node ran
-  int64_t estimated_bytes = 0;  ///< declared admission estimate
+  int64_t peak_bytes = 0;  ///< tracked peak while the operator ran
   bool from_checkpoint = false;
-  int32_t deferrals = 0;  ///< admissions denied by the memory budget
 };
 
 struct LargeEaResult {
@@ -91,11 +96,8 @@ struct LargeEaResult {
   EntityPairList effective_seeds;
   double total_seconds = 0.0;
   int64_t peak_bytes = 0;
-  /// DAG-executor diagnostics; empty when the serial path ran.
-  std::vector<DagNodeStats> dag_nodes;
-  double dag_critical_path_seconds = 0.0;
-  std::vector<std::string> dag_critical_path;  ///< node names, source→sink
-  int64_t dag_deferrals = 0;
+  /// One record per operator that ran, in pipeline order.
+  std::vector<PipelineNodeStats> nodes;
 };
 
 /// Fingerprint of everything that shapes the numeric result (dataset
@@ -110,6 +112,20 @@ uint64_t LargeEaConfigFingerprint(const EaDataset& dataset,
 /// structure failures degrade (see StructureChannelOptions) instead.
 StatusOr<LargeEaResult> RunLargeEa(const EaDataset& dataset,
                                    const LargeEaOptions& options);
+
+/// The pipeline prefix: name_semantic, name_string, name_fuse,
+/// name_augmentation, seed_augmentation and partition, run in that order
+/// on the calling thread. Fills `result`'s name channel, effective seeds
+/// and node records and returns the partition (empty when the structure
+/// channel is ablated). `checkpoint` must come from
+/// MakePipelineCheckpointManager; `stream_ctx` may be null (unbudgeted).
+/// RunLargeEa runs it before structure_train, fusion and evaluate; the
+/// shard orchestrator runs it alone before spawning its workers.
+StatusOr<MiniBatchSet> RunLargeEaPrefix(const EaDataset& dataset,
+                                        const LargeEaOptions& options,
+                                        rt::CheckpointManager& checkpoint,
+                                        stream::StreamContext* stream_ctx,
+                                        LargeEaResult& result);
 
 }  // namespace largeea
 

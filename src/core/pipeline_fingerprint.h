@@ -1,8 +1,8 @@
-// Per-node checkpoint fingerprints for the pipeline DAG.
+// Per-node checkpoint fingerprints for the pipeline operators.
 //
 // The global LargeEaConfigFingerprint stamps a checkpoint directory with
 // *everything* that can shape a result, so any option change invalidated
-// every artifact. The DAG executor wants finer grain: each operator's
+// every artifact. Resume wants finer grain: each operator's
 // artifact should be stamped with a fingerprint of exactly the inputs
 // and options that shape *that* artifact, chained through the graph —
 // then a `--resume` after an option change re-executes only the dirty
@@ -20,8 +20,8 @@
 //     │                        └─ fused (+ channel toggles, CSLS, weights)
 //
 // Streaming options are deliberately NOT part of any per-node
-// fingerprint: under the DAG every artifact is saved in full at node
-// completion (before any consumer releases it), so artifact bytes are
+// fingerprint: every operator saves its artifact in full when it
+// completes (before any release, see RunLargeEaPrefix), so artifact bytes are
 // budget-independent and a checkpoint taken under one memory budget
 // resumes bit-identically under any other.
 //
@@ -40,7 +40,7 @@
 namespace largeea {
 
 /// One fingerprint per checkpoint artifact kind, chained along the
-/// operator DAG's edges (a node's fingerprint hashes its parents').
+/// operator edges (a node's fingerprint hashes its parents').
 struct PipelineFingerprints {
   uint64_t base = 0;  ///< dataset shape + train/test splits
   uint64_t name_semantic = 0;

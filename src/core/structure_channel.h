@@ -109,7 +109,7 @@ StatusOr<MiniBatchSet> PrepareStructureBatches(
 
 /// The training phase alone: trains (or resumes) every trainable batch
 /// of an already-materialised partition and merges the blocks into M_s.
-/// The pipeline DAG runs this as its own operator downstream of the
+/// The pipeline runs this as its own operator (structure_train) after the
 /// partition node; `result.batches` takes ownership of `batches` and
 /// `partition_seconds` stays zero.
 StatusOr<StructureChannelResult> TrainStructureChannel(

@@ -44,12 +44,25 @@ double MinHasher::EstimateJaccard(const std::vector<uint64_t>& a,
   return static_cast<double>(equal) / static_cast<double>(a.size());
 }
 
-MinHashLsh::MinHashLsh(int32_t num_bands, int32_t rows_per_band)
+MinHashLsh::MinHashLsh(int32_t num_bands, int32_t rows_per_band,
+                       const std::vector<std::vector<uint64_t>>& signatures)
     : num_bands_(num_bands),
       rows_per_band_(rows_per_band),
-      buckets_(num_bands) {
+      bands_(num_bands) {
   LARGEEA_CHECK_GT(num_bands, 0);
   LARGEEA_CHECK_GT(rows_per_band, 0);
+  for (int32_t band = 0; band < num_bands_; ++band) {
+    std::vector<Entry>& entries = bands_[band];
+    entries.reserve(signatures.size());
+    for (size_t id = 0; id < signatures.size(); ++id) {
+      entries.push_back(
+          Entry{BandKey(signatures[id], band), static_cast<int32_t>(id)});
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry& a, const Entry& b) {
+                return a.key != b.key ? a.key < b.key : a.id < b.id;
+              });
+  }
 }
 
 uint64_t MinHashLsh::BandKey(const std::vector<uint64_t>& signature,
@@ -64,19 +77,21 @@ uint64_t MinHashLsh::BandKey(const std::vector<uint64_t>& signature,
   return key;
 }
 
-void MinHashLsh::Insert(int32_t id, const std::vector<uint64_t>& signature) {
-  for (int32_t band = 0; band < num_bands_; ++band) {
-    buckets_[band][BandKey(signature, band)].push_back(id);
-  }
+void MinHashLsh::AppendBucket(const std::vector<uint64_t>& signature,
+                              int32_t band, std::vector<int32_t>& out) const {
+  const std::vector<Entry>& entries = bands_[band];
+  const uint64_t key = BandKey(signature, band);
+  auto it = std::lower_bound(
+      entries.begin(), entries.end(), key,
+      [](const Entry& entry, uint64_t k) { return entry.key < k; });
+  for (; it != entries.end() && it->key == key; ++it) out.push_back(it->id);
 }
 
 std::vector<int32_t> MinHashLsh::Query(
     const std::vector<uint64_t>& signature) const {
   std::vector<int32_t> candidates;
   for (int32_t band = 0; band < num_bands_; ++band) {
-    const auto it = buckets_[band].find(BandKey(signature, band));
-    if (it == buckets_[band].end()) continue;
-    candidates.insert(candidates.end(), it->second.begin(), it->second.end());
+    AppendBucket(signature, band, candidates);
   }
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
@@ -88,9 +103,7 @@ std::vector<int32_t> MinHashLsh::QueryTop(
     const std::vector<uint64_t>& signature, int32_t limit) const {
   std::vector<int32_t> collisions;  // one entry per (band, id) collision
   for (int32_t band = 0; band < num_bands_; ++band) {
-    const auto it = buckets_[band].find(BandKey(signature, band));
-    if (it == buckets_[band].end()) continue;
-    collisions.insert(collisions.end(), it->second.begin(), it->second.end());
+    AppendBucket(signature, band, collisions);
   }
   std::sort(collisions.begin(), collisions.end());
 

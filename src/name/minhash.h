@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/name/tokenizer.h"
@@ -42,14 +41,14 @@ class MinHasher {
 
 /// LSH banding over MinHash signatures: signatures are split into
 /// `num_bands` bands of `rows_per_band` values; two items collide if any
-/// band hashes identically.
+/// band hashes identically. Immutable once built, so concurrent queries
+/// need no synchronisation.
 class MinHashLsh {
  public:
-  /// num_bands * rows_per_band must equal the signature length used.
-  MinHashLsh(int32_t num_bands, int32_t rows_per_band);
-
-  /// Inserts an item with the given signature.
-  void Insert(int32_t id, const std::vector<uint64_t>& signature);
+  /// Indexes `signatures[id]` under id for every id. Each signature must
+  /// have num_bands * rows_per_band values.
+  MinHashLsh(int32_t num_bands, int32_t rows_per_band,
+             const std::vector<std::vector<uint64_t>>& signatures);
 
   /// Returns the de-duplicated ids colliding with `signature`.
   std::vector<int32_t> Query(const std::vector<uint64_t>& signature) const;
@@ -64,12 +63,25 @@ class MinHashLsh {
                                 int32_t limit) const;
 
  private:
+  struct Entry {
+    uint64_t key;
+    int32_t id;
+  };
+
   uint64_t BandKey(const std::vector<uint64_t>& signature,
                    int32_t band) const;
 
+  /// Appends every id whose band-`band` key matches `signature`'s, in
+  /// ascending id order.
+  void AppendBucket(const std::vector<uint64_t>& signature, int32_t band,
+                    std::vector<int32_t>& out) const;
+
   int32_t num_bands_;
   int32_t rows_per_band_;
-  std::vector<std::unordered_map<uint64_t, std::vector<int32_t>>> buckets_;
+  /// Per band, one entry per id sorted by (key, id): a bucket is a run
+  /// of equal keys. Flat arrays instead of a hash map of vectors: no
+  /// allocation per bucket to build or free.
+  std::vector<std::vector<Entry>> bands_;
 };
 
 }  // namespace largeea

@@ -8,7 +8,7 @@
 //
 // Schema (all keys always present, see DESIGN.md "Observability"):
 //   {
-//     "tool":    "largeea_cli align",
+//     "tool":    "largeea_cli run",
 //     "dataset": {"name", "source_entities", "target_entities",
 //                 "source_triples", "target_triples",
 //                 "train_pairs", "test_pairs"},
@@ -43,7 +43,7 @@ namespace largeea::obs {
 /// Builder for the run-report JSON document.
 class RunReport {
  public:
-  /// Names the producing tool ("largeea_cli align", "bench_table2_ids").
+  /// Names the producing tool ("largeea_cli run", "bench_table2_ids").
   void SetTool(std::string tool) { tool_ = std::move(tool); }
 
   /// Dataset shape, as reported by the loaded/generated EaDataset.

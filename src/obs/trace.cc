@@ -44,7 +44,6 @@ void TraceRecorder::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   records_.clear();
   counters_.clear();
-  flows_.clear();
 }
 
 void TraceRecorder::Record(SpanRecord&& record) {
@@ -63,25 +62,6 @@ void TraceRecorder::RecordCounter(std::string name, double value) {
 std::vector<CounterRecord> TraceRecorder::Counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_;
-}
-
-void TraceRecorder::RecordFlowStart(std::string name, int64_t id) {
-  if (!enabled()) return;
-  const int64_t ts = NowMicros();
-  std::lock_guard<std::mutex> lock(mu_);
-  flows_.push_back(FlowRecord{std::move(name), id, ts, ThreadId(), true});
-}
-
-void TraceRecorder::RecordFlowEnd(std::string name, int64_t id) {
-  if (!enabled()) return;
-  const int64_t ts = NowMicros();
-  std::lock_guard<std::mutex> lock(mu_);
-  flows_.push_back(FlowRecord{std::move(name), id, ts, ThreadId(), false});
-}
-
-std::vector<FlowRecord> TraceRecorder::Flows() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return flows_;
 }
 
 std::vector<SpanRecord> TraceRecorder::Records() const {
@@ -123,7 +103,6 @@ void TraceRecorder::SetThreadName(int32_t thread_id, std::string name) {
 std::string TraceRecorder::ToChromeTraceJson() const {
   std::vector<SpanRecord> records = Records();
   std::vector<CounterRecord> counters = Counters();
-  std::vector<FlowRecord> flows = Flows();
   std::vector<std::pair<int32_t, std::string>> thread_names;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -166,22 +145,6 @@ std::string TraceRecorder::ToChromeTraceJson() const {
       w.Key(a.key).String(a.value);
     }
     w.EndObject();
-    w.EndObject();
-  }
-  // Flow arrows (ph:"s"/"f"): the viewer joins a start with its ends by
-  // (cat, id) and draws an arrow between the slices enclosing each
-  // endpoint — the DAG scheduler's data-dependency edges. bp:"e" binds
-  // the end to the *enclosing* slice rather than the next one.
-  for (const FlowRecord& f : flows) {
-    w.BeginObject();
-    w.Key("name").String(f.name);
-    w.Key("cat").String("dag");
-    w.Key("ph").String(f.start ? "s" : "f");
-    if (!f.start) w.Key("bp").String("e");
-    w.Key("id").Int(f.id);
-    w.Key("ts").Int(f.ts_us);
-    w.Key("pid").Int(1);
-    w.Key("tid").Int(f.thread_id);
     w.EndObject();
   }
   // Counter tracks (ph:"C"): one track per counter name, one sample per

@@ -55,20 +55,6 @@ struct CounterRecord {
   double value = 0.0;
 };
 
-/// One endpoint of a Chrome trace flow arrow (ph:"s"/"f"). The DAG
-/// scheduler records a start at a producer node's completion and an end
-/// at each consumer node's admission, so the viewer draws the data
-/// dependencies between concurrently scheduled operator spans. Both
-/// endpoints must fall inside an open span on their thread for the
-/// viewer to bind the arrow.
-struct FlowRecord {
-  std::string name;  ///< flow display name (typically the edge's value)
-  int64_t id = 0;    ///< matches a start with its end(s)
-  int64_t ts_us = 0;
-  int32_t thread_id = 0;
-  bool start = false;  ///< true = ph:"s", false = ph:"f"
-};
-
 /// Process-wide span sink. All methods are thread-safe.
 class TraceRecorder {
  public:
@@ -114,15 +100,6 @@ class TraceRecorder {
   /// Copies out the retained counter samples (record order).
   std::vector<CounterRecord> Counters() const;
 
-  /// Retains a flow-arrow start (ph:"s") / end (ph:"f") at the current
-  /// time on the calling thread, if enabled. Call while a span is open
-  /// so the arrow has a slice to bind to.
-  void RecordFlowStart(std::string name, int64_t id);
-  void RecordFlowEnd(std::string name, int64_t id);
-
-  /// Copies out the retained flow endpoints (record order).
-  std::vector<FlowRecord> Flows() const;
-
  private:
   TraceRecorder();
 
@@ -131,7 +108,6 @@ class TraceRecorder {
   mutable std::mutex mu_;
   std::vector<SpanRecord> records_;
   std::vector<CounterRecord> counters_;
-  std::vector<FlowRecord> flows_;
   std::vector<std::pair<int32_t, std::string>> thread_names_;
 };
 

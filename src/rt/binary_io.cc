@@ -8,6 +8,9 @@ Status BinaryReader::ReadRaw(void* out, size_t n) {
                          std::to_string(n) + " bytes, have " +
                          std::to_string(data_.size() - pos_));
   }
+  // An empty array's data() may be null, and memcpy requires non-null
+  // pointers even for zero bytes.
+  if (n == 0) return OkStatus();
   std::memcpy(out, data_.data() + pos_, n);
   pos_ += n;
   return OkStatus();

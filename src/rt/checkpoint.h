@@ -63,12 +63,12 @@ class CheckpointManager {
   /// Stamps every artifact whose kind starts with `kind_prefix` with
   /// `fingerprint` instead of the constructor's global fingerprint.
   /// The longest matching prefix wins ("batch_" covers "batch_0003"),
-  /// so the pipeline DAG can give each node a fingerprint of exactly
-  /// the inputs and options that shape *that* artifact — a changed
-  /// training option then invalidates the batch blocks without
+  /// so each pipeline operator can stamp its artifact with a fingerprint
+  /// of exactly the inputs and options that shape *that* artifact — a
+  /// changed training option then invalidates the batch blocks without
   /// touching the name-channel artifacts (dirty-subgraph resume).
   /// Not thread-safe: install every override before the manager is
-  /// shared across scheduler threads.
+  /// shared across threads.
   void SetKindFingerprint(std::string kind_prefix, uint64_t fingerprint);
 
   /// The fingerprint artifacts of `kind` are saved and validated under.

@@ -128,14 +128,13 @@ Status ServeIndex::Finish() {
   if (static_cast<int64_t>(target_signatures_.size()) != num_targets) {
     return DataLossError("index: signature count does not match targets");
   }
-  lsh_ = std::make_unique<MinHashLsh>(options_.num_bands,
-                                      options_.rows_per_band);
-  for (int64_t e = 0; e < num_targets; ++e) {
-    if (static_cast<int32_t>(target_signatures_[e].size()) != num_perms) {
+  for (const std::vector<uint64_t>& signature : target_signatures_) {
+    if (static_cast<int32_t>(signature.size()) != num_perms) {
       return DataLossError("index: signature length does not match banding");
     }
-    lsh_->Insert(static_cast<int32_t>(e), target_signatures_[e]);
   }
+  lsh_ = std::make_unique<MinHashLsh>(
+      options_.num_bands, options_.rows_per_band, target_signatures_);
 
   // Search objects over the (now address-stable) embedding matrix.
   target_ids_.resize(num_targets);

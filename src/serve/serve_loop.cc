@@ -204,13 +204,17 @@ Status BuildQuery(const std::map<std::string, std::string>& fields,
   if (entity_it != fields.end()) {
     request.kind = QueryRequest::Kind::kEntity;
     const std::string& text = entity_it->second;
-    int64_t id = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), id);
+    // Parsed straight into EntityId: an id past its range is rejected
+    // here instead of wrapping onto some other entity. Negative ids
+    // reach the engine's [0, num_source_entities) check.
+    const auto [ptr, ec] = std::from_chars(
+        text.data(), text.data() + text.size(), request.entity);
+    if (ec == std::errc::result_out_of_range) {
+      return InvalidArgumentError("\"entity\" is out of range: " + text);
+    }
     if (ec != std::errc() || ptr != text.data() + text.size()) {
       return InvalidArgumentError("\"entity\" is not an integer: " + text);
     }
-    request.entity = static_cast<EntityId>(id);
   } else {
     request.kind = QueryRequest::Kind::kName;
     request.name = name_it->second;

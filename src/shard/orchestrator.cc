@@ -7,9 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/name_channel.h"
 #include "src/core/pipeline_fingerprint.h"
-#include "src/core/structure_channel.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -82,11 +80,11 @@ StatusOr<LargeEaResult> RunShardedLargeEa(const EaDataset& dataset,
 
   if (!options.fault_tolerance.resume) WipeCheckpoints(dir);
 
-  // --- Phase A: the single-process prefix (name channel, seed
-  // augmentation, partition), checkpointed so every worker and the merge
-  // read one shared, fingerprint-stamped partition. This mirrors
-  // RunLargeEa exactly — including the streaming context — so the
-  // artifacts are the ones a plain run would have written.
+  // --- Phase A: the pipeline prefix (name operators, seed augmentation,
+  // partition) — the same RunLargeEaPrefix RunLargeEa runs, including
+  // the streaming context — checkpointed so every worker and the merge
+  // read one shared, fingerprint-stamped partition that is byte for byte
+  // the one a plain run writes.
   const stream::StreamOptions stream_options =
       stream::ResolveStreamOptions(options.stream);
   // The pipeline manager (global fingerprint + per-node overrides) —
@@ -101,28 +99,13 @@ StatusOr<LargeEaResult> RunShardedLargeEa(const EaDataset& dataset,
     if (stream::StreamingEnabled(stream_options)) {
       stream_ctx = std::make_unique<stream::StreamContext>(stream_options);
     }
-    EntityPairList effective_seeds = dataset.split.train;
-    if (options.use_name_channel) {
-      auto name = RunNameChannel(dataset.source, dataset.target,
-                                 dataset.split.train, options.name_channel,
-                                 &checkpoint, stream_ctx.get());
-      if (!name.ok()) {
-        return name.status().WithContext("shard orchestrator: name channel");
-      }
-      effective_seeds.insert(effective_seeds.end(),
-                             name->pseudo_seeds.begin(),
-                             name->pseudo_seeds.end());
+    LargeEaResult prefix;
+    auto prepared = RunLargeEaPrefix(dataset, options, checkpoint,
+                                     stream_ctx.get(), prefix);
+    if (!prepared.ok()) {
+      return prepared.status().WithContext("shard orchestrator: prefix");
     }
-    if (options.use_structure_channel) {
-      auto prepared = PrepareStructureBatches(dataset.source, dataset.target,
-                                              effective_seeds,
-                                              options.structure_channel,
-                                              &checkpoint);
-      if (!prepared.ok()) {
-        return prepared.status().WithContext("shard orchestrator: partition");
-      }
-      batches = std::move(prepared).value();
-    }
+    batches = std::move(prepared).value();
   }
 
   // --- Phase B: supervised workers, one per non-empty shard. ---

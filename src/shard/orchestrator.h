@@ -7,8 +7,9 @@
 // after a worker was SIGKILLed mid-batch and respawned.
 //
 // Phases:
-//   A. Parent: name channel + seed augmentation + partition, all
-//      checkpointed (identical to the single-process prefix).
+//   A. Parent: the pipeline prefix (RunLargeEaPrefix: name operators,
+//      seed augmentation, partition), checkpointed exactly as
+//      RunLargeEa checkpoints it.
 //   B. Supervision loop: spawn one worker per incomplete shard, watch
 //      heartbeats and deadlines, classify failures (exit code, signal,
 //      hang, deadline), retry with bounded exponential backoff; a shard

@@ -395,21 +395,24 @@ TEST(ServeLoopTest, ProtocolAnswersInOrderAndSwapsMidStream) {
       "{\"op\":\"swap\",\"index\":\"" + v2_path + "\"}\n"
       "{\"op\":\"query\",\"entity\":0,\"k\":2}\n"
       "{\"op\":\"query\",\"entity\":-3}\n"
+      // Past EntityId's range: would wrap onto entities 3 and 0.
+      "{\"op\":\"query\",\"entity\":4294967299}\n"
+      "{\"op\":\"query\",\"entity\":-4294967296}\n"
       "{\"op\":\"stats\"}\n"
       "{\"op\":\"quit\"}\n"
       "{\"op\":\"query\",\"entity\":1}\n");  // after quit: never answered
   std::ostringstream out;
   const serve::ServeLoopStats stats = loop.Run(in, out);
 
-  EXPECT_EQ(stats.queries, 3);
-  EXPECT_EQ(stats.failed, 1);  // the out-of-range entity
+  EXPECT_EQ(stats.queries, 5);
+  EXPECT_EQ(stats.failed, 3);  // the three out-of-range entities
   EXPECT_EQ(stats.swaps, 1);
   EXPECT_TRUE(stats.saw_quit);
 
   std::vector<std::string> lines;
   std::istringstream reread(out.str());
   for (std::string line; std::getline(reread, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 6u);
+  ASSERT_EQ(lines.size(), 8u);
   // Query before the swap answers from v1, after from v2 — the control
   // op is a barrier, so the ordering is exact, not racy.
   EXPECT_NE(lines[0].find("\"fingerprint\":\"00000000000000c1\""),
@@ -417,10 +420,13 @@ TEST(ServeLoopTest, ProtocolAnswersInOrderAndSwapsMidStream) {
   EXPECT_NE(lines[1].find("\"version\":2"), std::string::npos);
   EXPECT_NE(lines[2].find("\"fingerprint\":\"00000000000000c2\""),
             std::string::npos);
-  EXPECT_NE(lines[3].find("\"ok\":false"), std::string::npos);
-  EXPECT_NE(lines[3].find("INVALID_ARGUMENT"), std::string::npos);
-  EXPECT_NE(lines[4].find("\"version_swaps\":1"), std::string::npos);
-  EXPECT_NE(lines[5].find("\"bye\":true"), std::string::npos);
+  for (size_t i : {3u, 4u, 5u}) {
+    EXPECT_NE(lines[i].find("\"ok\":false"), std::string::npos) << lines[i];
+    EXPECT_NE(lines[i].find("INVALID_ARGUMENT"), std::string::npos)
+        << lines[i];
+  }
+  EXPECT_NE(lines[6].find("\"version_swaps\":1"), std::string::npos);
+  EXPECT_NE(lines[7].find("\"bye\":true"), std::string::npos);
   fs::remove(v2_path);
 }
 

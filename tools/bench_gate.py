@@ -13,8 +13,6 @@ key columns, so a re-ordered or extended sweep still gates correctly:
                                       + utilization / imbalance_ratio
     tune    -> (param, candidate)     schema-checked only (timings of
                                       autotune candidates, no gate)
-    dag     -> (row,)                 schema-checked only (serial vs
-                                      DAG wall clock, node timings)
     serve   -> (targets, path)        on items_per_sec (QPS)
                                       + recall_at_k on name_ann rows
 
@@ -54,7 +52,6 @@ KEY_COLUMNS = {
     "profile": ("kernel", "threads"),
     "stream": ("budget_mb",),
     "tune": ("param", "candidate"),
-    "dag": ("row",),
     "serve": ("targets", "path"),
 }
 

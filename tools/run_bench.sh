@@ -18,10 +18,6 @@
 #     --mode=tune --json-out, DESIGN.md §13): one row per
 #     (param, candidate) with the winner flagged. TUNE_SCALE shrinks
 #     the sweep shapes;
-#   * BENCH_dag.json — serial vs operator-DAG executor on the full
-#     pipeline (bench_micro --mode=dag --json-out, DESIGN.md §14):
-#     both wall clocks, per-node timings, and the node-level critical
-#     path, with bit-identity asserted. DAG_SCALE tunes the dataset;
 #   * BENCH_serve.json — single-query latency/QPS of the serving layer
 #     (bench_micro --mode=serve --json-out, DESIGN.md §15): per index
 #     size, the entity path, the ANN name path, and the exact-scan name
@@ -63,7 +59,6 @@ THREADS_LIST="${THREADS_LIST:-1,2,4,8}"
 BUILD_DIR="${BUILD_DIR:-build}"
 STREAM_SCALE="${STREAM_SCALE:-0.2}"
 TUNE_SCALE="${TUNE_SCALE:-1.0}"
-DAG_SCALE="${DAG_SCALE:-0.2}"
 SERVE_TARGETS="${SERVE_TARGETS:-2000,8000,32000,256000}"
 GATE_TOLERANCE="${GATE_TOLERANCE:-0.15}"
 BENCH_RUNS="${BENCH_RUNS:-3}"
@@ -100,7 +95,7 @@ esac
 if [[ "${MODE}" == "gate-check" ]]; then
   exec python3 tools/bench_gate.py --check \
     BENCH_par.json BENCH_simd.json BENCH_profile.json BENCH_tune.json \
-    BENCH_dag.json BENCH_serve.json
+    BENCH_serve.json
 fi
 
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -165,10 +160,6 @@ echo "=== autotune candidate sweep ==="
 "${BUILD_DIR}/bench/bench_micro" --mode=tune \
   --json-out="${OUT_DIR}/BENCH_tune.json" --scale="${TUNE_SCALE}" \
   --min-time="${MIN_TIME}"
-
-echo "=== DAG executor sweep ==="
-"${BUILD_DIR}/bench/bench_micro" --mode=dag \
-  --json-out="${OUT_DIR}/BENCH_dag.json" --scale="${DAG_SCALE}"
 
 echo "=== serve sweep ==="
 "${BUILD_DIR}/bench/bench_micro" --mode=serve \

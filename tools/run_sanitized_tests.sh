@@ -37,7 +37,7 @@ cd "$(dirname "$0")/.."
 SANITIZERS="${SANITIZERS:-sanitize tsan}"
 SIMD_BACKENDS="${SIMD_BACKENDS:-scalar auto}"
 STREAM_BUDGET_MB="${STREAM_BUDGET_MB:-8}"
-STREAM_FILTER='Stream*:TileStore*:TileMatrix*:FuseStreamed*:MemoryBudget*:ParDeterminism*:Dag*'
+STREAM_FILTER='Stream*:TileStore*:TileMatrix*:FuseStreamed*:MemoryBudget*:ParDeterminism*:Pipeline*'
 
 for preset in ${SANITIZERS}; do
   cmake --preset "${preset}"
